@@ -1042,7 +1042,8 @@ def _render_fleet_top_frame(live: dict, stats: dict, where: str) -> str:
         f"  routing  aux {stats.get('aux_routed', 0)}  scatter {stats.get('scatter', 0)}  "
         f"failovers {stats.get('failovers', 0)}  hedges {stats.get('hedges', 0)}  "
         f"stale {stats.get('stale_detected', 0)}  "
-        f"refreshes {stats.get('aux_refreshes', 0)}",
+        f"refreshes {stats.get('aux_refreshes', 0)} "
+        f"(failed {stats.get('aux_refresh_failures', 0)})",
     ]
     for sid, shard in sorted(live.get("shards", {}).items()):
         stale = shard.get("stale")

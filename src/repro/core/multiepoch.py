@@ -37,22 +37,9 @@ from .formats import FMT_FILTERKV, FORMATS, FormatSpec
 from .kv import KVBatch
 from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, main_table_name
-from .reader import QueryEngine, QueryStats
+from .reader import QueryEngine, QueryStats, newest_first
 
 __all__ = ["MultiEpochStore"]
-
-
-def _merge_stats(dst: QueryStats, src: QueryStats) -> None:
-    """Fold one epoch probe's costs into a cross-epoch aggregate."""
-    dst.found = dst.found or src.found
-    dst.latency += src.latency
-    dst.reads += src.reads
-    dst.bytes_read += src.bytes_read
-    dst.partitions_searched += src.partitions_searched
-    for k, v in src.breakdown_reads.items():
-        dst.breakdown_reads[k] = dst.breakdown_reads.get(k, 0) + v
-    for k, v in src.breakdown_bytes.items():
-        dst.breakdown_bytes[k] = dst.breakdown_bytes.get(k, 0) + v
 
 
 class MultiEpochStore:
@@ -294,7 +281,6 @@ class MultiEpochStore:
         epoch: int,
         metrics: MetricsRegistry | None = None,
         table_cache_entries: int | None = None,
-        parallel_probe: bool = False,
     ) -> "CachedQueryEngine":
         """A warm-cache engine over one committed epoch.
 
@@ -315,7 +301,6 @@ class MultiEpochStore:
             partitioner=base.partitioner,
             aux_tables=base.aux_tables,
             epoch=base.epoch,
-            parallel_probe=parallel_probe,
             metrics=metrics,
             **kwargs,
         )
@@ -391,40 +376,20 @@ class MultiEpochStore:
         ``cached=False`` every probe opens partitions afresh (the paper's
         cold reader), which is what `benchmarks/bench_compact.py` measures.
         """
-        agg = QueryStats()
-        for epoch in reversed(self.epochs):
-            probe = self._pooled_engine(epoch) if cached else self._engines[epoch]
-            value, stats = probe.get(key)
-            _merge_stats(agg, stats)
-            if value is not None:
-                return value, epoch, agg
-        return None, None, agg
+        values, where, stats = self.lookup_many([key], cached=cached)
+        return values[0], where[0], stats[0]
 
     def lookup_many(
         self, keys, cached: bool = True
     ) -> tuple[list[bytes | None], list[int | None], list[QueryStats]]:
         """Bulk `lookup`: each epoch is probed once with the still-missing
-        keys (block-coalesced), newest first."""
-        arr = np.asarray(keys, dtype=np.uint64).ravel()
-        values: list[bytes | None] = [None] * arr.size
-        found: list[int | None] = [None] * arr.size
-        agg = [QueryStats() for _ in range(arr.size)]
-        remaining = list(range(arr.size))
-        for epoch in reversed(self.epochs):
-            if not remaining:
-                break
-            probe = self._pooled_engine(epoch) if cached else self._engines[epoch]
-            vals, stats = probe.get_many(arr[remaining])
-            still: list[int] = []
-            for i, value, st in zip(remaining, vals, stats):
-                _merge_stats(agg[i], st)
-                if value is not None:
-                    values[i] = value
-                    found[i] = epoch
-                else:
-                    still.append(i)
-            remaining = still
-        return values, found, agg
+        keys (block-coalesced `QueryEngine.get_many`), newest first."""
+
+        def probe(epoch: int, ks: np.ndarray):
+            engine = self._pooled_engine(epoch) if cached else self._engines[epoch]
+            return engine.get_many(ks)
+
+        return newest_first(self.epochs, probe, keys)
 
     # -- compaction ---------------------------------------------------------
 

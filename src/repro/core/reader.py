@@ -33,7 +33,7 @@ from .formats import FormatSpec
 from .partitioning import HashPartitioner
 from .pipeline import aux_table_name, main_table_name
 
-__all__ = ["QueryEngine", "CachedQueryEngine", "QueryStats"]
+__all__ = ["QueryEngine", "CachedQueryEngine", "QueryStats", "newest_first"]
 
 
 @dataclass
@@ -53,6 +53,18 @@ class QueryStats:
         self.bytes_read += nbytes
         self.breakdown_reads[category] = self.breakdown_reads.get(category, 0) + reads
         self.breakdown_bytes[category] = self.breakdown_bytes.get(category, 0) + nbytes
+
+    def merge(self, other: "QueryStats") -> None:
+        """Fold another probe's costs into this aggregate (cross-epoch walks)."""
+        self.found = self.found or other.found
+        self.latency += other.latency
+        self.reads += other.reads
+        self.bytes_read += other.bytes_read
+        self.partitions_searched += other.partitions_searched
+        for k, v in other.breakdown_reads.items():
+            self.breakdown_reads[k] = self.breakdown_reads.get(k, 0) + v
+        for k, v in other.breakdown_bytes.items():
+            self.breakdown_bytes[k] = self.breakdown_bytes.get(k, 0) + v
 
 
 class QueryEngine:
@@ -313,23 +325,31 @@ class QueryEngine:
         for s, e in zip(starts, ends):
             yield int(sk[s]), order[s:e]
 
-    def get_many(self, keys) -> tuple[list[bytes | None], list[QueryStats]]:
+    def get_many(
+        self, keys, negative_cache=None
+    ) -> tuple[list[bytes | None], list[QueryStats]]:
         """Bulk point lookups: value-equivalent to ``[self.get(k) for k in keys]``.
 
-        The batch walks the same probe schedule as the scalar loop —
-        candidate ranks ascending per key, stopping at the first hit — so
+        One walk serves every format (the paper's §III-C reader in bulk):
+        candidates (the owner partition; for filterkv, the owner's aux
+        table), then ranks ascending with one block-coalesced
+        ``SSTableReader.get_many`` per rank, each key stopping at its first
+        hit, then (dataptr) one offset-ordered sweep per value log.  So
         ``found``, per-key ``partitions_searched``, and the aux-table
-        probe/candidate counters all match the scalar walk exactly.  What
-        changes is the physical plan: each partition table (and value log)
-        is opened once per batch, keys destined for the same data block are
-        resolved with a single block read, and vlog reads sweep each log in
-        offset order.  Shared I/O is charged to the *first* key of the group
-        that needed it, so per-key breakdowns are an attribution (aggregate
-        reads/bytes remain exact, and are <= the scalar loop's — that
-        reduction is the point).  Under ``parallel_probe`` every candidate
-        is probed (no early stop) and the lowest-rank hit wins, matching
-        the scalar parallel walk's value and probe counts; the scalar
-        max-latency overlap adjustment is not replicated.
+        probe/candidate counters all match the scalar walk exactly; only
+        the physical plan changes.  Shared I/O is charged to the *first*
+        key of the group that needed it, so per-key breakdowns are an
+        attribution (aggregate reads/bytes remain exact, and are <= the
+        scalar loop's — that reduction is the point).  Under
+        ``parallel_probe`` every candidate is probed (no early stop) and
+        the lowest-rank hit wins, matching the scalar parallel walk's
+        value and probe counts; the scalar max-latency overlap adjustment
+        is not replicated.
+
+        ``negative_cache`` (a `repro.serve.cache.NegativeCache`) is the
+        filterkv refute hook: candidate ranks it refuted for ``(epoch,
+        key)`` are skipped and every candidate probe that misses is added
+        to it, so it only ever removes probes known to miss.
         """
         arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64).ravel())
         n = int(arr.size)
@@ -338,7 +358,7 @@ class QueryEngine:
         if n == 0:
             return values, stats
         if current_span() is None:  # untraced: skip span-argument setup
-            self._get_many_dispatch(arr, values, stats, n)
+            self._get_many_dispatch(arr, values, stats, negative_cache)
             return values, stats
         with child_span(
             "engine.get_many",
@@ -347,93 +367,40 @@ class QueryEngine:
             format=self.fmt.name,
             keys=n,
         ) as span:
-            blocks, probes = self._get_many_dispatch(arr, values, stats, n)
+            blocks, probes = self._get_many_dispatch(arr, values, stats, negative_cache)
             if span is not None:
                 span.annotate(blocks=blocks, probes=probes)
         return values, stats
 
     def _get_many_dispatch(
-        self,
-        arr: np.ndarray,
-        values: list[bytes | None],
-        stats: list["QueryStats"],
-        n: int,
+        self, arr: np.ndarray, values: list, stats: list[QueryStats], negative_cache
     ) -> tuple[int, int]:
-        if self.fmt.name == "base":
-            blocks, probes = self._get_many_direct(arr, values, stats, deref=False)
-        elif self.fmt.name == "dataptr":
-            blocks, probes = self._get_many_direct(arr, values, stats, deref=True)
-        else:
-            blocks, probes = self._get_many_filterkv(arr, values, stats)
-        for s in stats:
+        if self.fmt.name == "filterkv":
+            pos, ranks = self._candidates(arr, stats, negative_cache)
+        else:  # the owner is the only candidate: nothing to refute
+            pos, ranks = np.arange(arr.size), self.partitioner.partition_of(arr)
+            negative_cache = None
+        blocks, probes = self._probe_ranks(arr, pos, ranks, values, stats, negative_cache)
+        if self.fmt.name == "dataptr":
+            self._deref(values, stats)
+        for v, s in zip(values, stats):
+            s.found = v is not None
             self._observe(s)
-        self._m_batch_keys.inc(n)
+        self._m_batch_keys.inc(arr.size)
         self._m_batch_blocks.observe(blocks)
         if blocks:
             self._m_batch_coalesce.observe(probes / blocks)
         return blocks, probes
 
-    def _get_many_direct(
-        self,
-        keys: np.ndarray,
-        values: list[bytes | None],
-        stats: list[QueryStats],
-        deref: bool,
-    ) -> tuple[int, int]:
-        """Bulk base/dataptr flow: one table open per owner partition."""
-        owners = self.partitioner.partition_of(keys)
-        blocks_touched = 0
-        probes = 0
-        ptrs: list[tuple[int, DataPointer]] = []
-        for rank, pos in self._groups(owners):
-            lead = stats[int(pos[0])]
-            reader = self._open_table(rank, lead)
-            try:
-                with self._charged(lead, "data"):
-                    vals, nblocks = reader.get_many(keys[pos])
-            finally:
-                self._release_table(reader)
-            blocks_touched += nblocks
-            probes += len(pos)
-            for p, v in zip(pos.tolist(), vals):
-                stats[p].partitions_searched = 1
-                if not deref:
-                    values[p] = v
-                    stats[p].found = v is not None
-                elif v is not None:
-                    ptrs.append((p, DataPointer.unpack(v)))
-        if deref and ptrs:
-            vranks = np.asarray([pt.rank for _, pt in ptrs], dtype=np.int64)
-            for rank, gi in self._groups(vranks):
-                group = [ptrs[int(i)] for i in gi]
-                lead = stats[group[0][0]]
-                log = self._open_vlog(rank)
-                try:
-                    with self._charged(lead, "vlog"):
-                        vals = log.read_many([pt for _, pt in group])
-                finally:
-                    self._release_vlog(log)
-                for (p, _), v in zip(group, vals):
-                    values[p] = v
-                    stats[p].found = True
-        return blocks_touched, probes
-
-    def _get_many_filterkv(
-        self,
-        keys: np.ndarray,
-        values: list[bytes | None],
-        stats: list[QueryStats],
-    ) -> tuple[int, int]:
-        """Bulk filterkv flow: aux once per owner, probes grouped by rank.
-
-        Processing candidate ranks in ascending order with a per-key
-        "found" mask is probe-equivalent to each key walking its own
-        candidate list (which is ascending) and stopping at the first hit.
-        """
-        owners = self.partitioner.partition_of(keys)
-        cand_pos: list[np.ndarray] = []
-        cand_rank: list[np.ndarray] = []
-        for owner, pos in self._groups(owners):
+    def _candidates(
+        self, keys: np.ndarray, stats: list[QueryStats], refute
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """FilterKV candidates as flat ``(key position, rank)`` pairs: the
+        aux fetch once per owner group (charged to its first key), minus
+        the ranks ``refute`` has refuted."""
+        cand_pos = [np.zeros(0, dtype=np.int64)]
+        cand_rank = [np.zeros(0, dtype=np.int64)]
+        for owner, pos in self._groups(self.partitioner.partition_of(keys)):
             aux = self.aux_tables[owner]
             if aux is None:
                 raise ValueError(f"no auxiliary table for partition {owner}")
@@ -442,36 +409,100 @@ class QueryEngine:
             self._m_candidates.inc(int(counts.sum()))
             cand_pos.append(np.repeat(pos, counts))
             cand_rank.append(flat)
-        flat_pos = np.concatenate(cand_pos) if cand_pos else np.zeros(0, dtype=np.int64)
-        flat_rank = (
-            np.concatenate(cand_rank) if cand_rank else np.zeros(0, dtype=np.int64)
-        )
+        pos, ranks = np.concatenate(cand_pos), np.concatenate(cand_rank)
+        if refute is not None and pos.size:
+            klist = keys.tolist()
+            keep = [
+                not refute.refuted(self.epoch, klist[p], r)
+                for p, r in zip(pos.tolist(), ranks.tolist())
+            ]
+            pos, ranks = pos[keep], ranks[keep]
+        return pos, ranks
+
+    def _probe_ranks(
+        self, keys: np.ndarray, pos, ranks, values: list, stats: list[QueryStats], learn
+    ) -> tuple[int, int]:
+        """Probe candidates rank by rank, ascending; returns (blocks, probes).
+
+        Each rank's still-unanswered keys share one table open and one
+        block-coalesced ``get_many``, which with the per-key "found" mask
+        is probe-equivalent to each key walking its own ascending
+        candidate list to the first hit.  Misses are added to ``learn``.
+        """
         found = np.zeros(len(values), dtype=bool)
         blocks_touched = 0
         probes = 0
-        for rank, gi in self._groups(flat_rank):
-            pos = flat_pos[gi]
+        for rank, gi in self._groups(ranks):
+            group = pos[gi]
             if not self.parallel_probe:
-                pos = pos[~found[pos]]
-            if pos.size == 0:
+                group = group[~found[group]]
+            if group.size == 0:
                 continue
-            lead = stats[int(pos[0])]
-            reader = self._open_table(int(rank), lead)
+            lead = stats[int(group[0])]
+            reader = self._open_table(rank, lead)
             try:
                 with self._charged(lead, "data"):
-                    vals, nblocks = reader.get_many(keys[pos])
+                    vals, nblocks = reader.get_many(keys[group])
             finally:
                 self._release_table(reader)
             blocks_touched += nblocks
-            probes += len(pos)
-            for p, v in zip(pos.tolist(), vals):
+            probes += group.size
+            for p, v in zip(group.tolist(), vals):
                 stats[p].partitions_searched += 1
-                if v is not None and values[p] is None:
+                if v is None:
+                    if learn is not None:
+                        learn.add(self.epoch, int(keys[p]), rank)
+                elif values[p] is None:
                     values[p] = v
                     found[p] = True
-        for p, v in enumerate(values):
-            stats[p].found = v is not None
         return blocks_touched, probes
+
+    def _deref(self, values: list, stats: list[QueryStats]) -> None:
+        """dataptr: swap each hit's pointer for its value, one
+        offset-ordered ``read_many`` per value log."""
+        ptrs = [(p, DataPointer.unpack(v)) for p, v in enumerate(values) if v is not None]
+        vranks = np.asarray([pt.rank for _, pt in ptrs], dtype=np.int64)
+        for rank, gi in self._groups(vranks):
+            group = [ptrs[int(i)] for i in gi]
+            log = self._open_vlog(rank)
+            try:
+                with self._charged(stats[group[0][0]], "vlog"):
+                    vals = log.read_many([pt for _, pt in group])
+            finally:
+                self._release_vlog(log)
+            for (p, _), v in zip(group, vals):
+                values[p] = v
+
+
+def newest_first(epochs, probe, keys):
+    """Newest value of each key across ``epochs`` (listed oldest first).
+
+    ``probe(epoch, keys)`` answers one epoch in bulk as ``(values, stats)``
+    — normally an engine's `QueryEngine.get_many`.  Epochs are walked
+    newest first, each probed once with only the still-unanswered keys,
+    so a key stops at the newest epoch holding it: the view compaction
+    preserves.  Returns ``(values, epoch_found, aggregate_stats)`` aligned
+    with ``keys``; a key's stats sum its probes over every epoch walked.
+    """
+    arr = np.asarray(keys, dtype=np.uint64).ravel()
+    values: list[bytes | None] = [None] * arr.size
+    where: list[int | None] = [None] * arr.size
+    agg = [QueryStats() for _ in range(arr.size)]
+    remaining = list(range(arr.size))
+    for epoch in reversed(epochs):
+        if not remaining:
+            break
+        vals, stats = probe(epoch, arr[remaining])
+        still: list[int] = []
+        for i, value, st in zip(remaining, vals, stats):
+            agg[i].merge(st)
+            if value is not None:
+                values[i] = value
+                where[i] = epoch
+            else:
+                still.append(i)
+        remaining = still
+    return values, where, agg
 
 
 class CachedQueryEngine(QueryEngine):

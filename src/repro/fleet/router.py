@@ -256,12 +256,14 @@ class FleetRouter:
 
     async def start(self) -> "FleetRouter":
         """Pull every shard's aux state (best-effort: a down shard just
-        starts with no view, i.e. ring-order planning)."""
+        starts with no view, i.e. ring-order planning, and is counted in
+        ``fleet.router.aux_refresh_failures``)."""
         for sid in list(self.clients):
             try:
                 await self.refresh(sid)
             except Exception:
                 self.views.pop(sid, None)
+                self._m_refresh_failures(sid).inc()
         return self
 
     async def close(self) -> None:
@@ -284,12 +286,15 @@ class FleetRouter:
         async def _go():
             try:
                 await self.refresh(shard_id)
-            except Exception:
-                pass  # shard down: the stale mark stands, planning scatters
+            except Exception:  # shard down: the stale mark stands, planning scatters
+                self._m_refresh_failures(shard_id).inc()
             finally:
                 self._refreshing.discard(shard_id)
 
         asyncio.get_running_loop().create_task(_go())
+
+    def _m_refresh_failures(self, shard_id: int):
+        return self.metrics.counter("fleet.router.aux_refresh_failures", shard=str(shard_id))
 
     def _observe_memory(self) -> None:
         self.metrics.gauge("fleet.router.aux_blob_bytes").set(self.aux_blob_bytes)
@@ -578,6 +583,7 @@ class FleetRouter:
             "hedges": int(m.total("fleet.router.hedges")),
             "stale_detected": int(m.total("fleet.router.stale_detected")),
             "aux_refreshes": int(m.total("fleet.router.aux_refreshes")),
+            "aux_refresh_failures": int(m.total("fleet.router.aux_refresh_failures")),
             "breaker_skips": int(m.total("fleet.router.breaker_skips")),
             "breakers": {
                 str(sid): b.state for sid, b in sorted(self.breakers.items())

@@ -6,13 +6,14 @@ absorb skewed traffic from many concurrent clients:
 
 * **Batching & coalescing** — concurrent lookups for the same
   ``(epoch, key)`` share one store probe; each dispatch window drains up
-  to ``max_batch`` admitted requests and groups them per candidate rank,
-  so a partition's table is touched once per window rather than once per
-  request.
+  to ``max_batch`` admitted requests and answers them with the store's
+  own bulk read walk (`QueryEngine.get_many`, epochs newest-first through
+  `newest_first` for ``ANY_EPOCH``), so a partition's table is touched
+  once per window rather than once per request.
 * **Two-level read cache** — a bounded LRU of finished responses keyed by
   ``(epoch, key)`` plus a negative cache of refuted ``(epoch, key, rank)``
-  candidates, so repeat FilterKV queries skip the aux table's false
-  candidates entirely (`repro.serve.cache`).
+  candidates — the walk's refute hook — so repeat FilterKV queries skip
+  the aux table's false candidates entirely (`repro.serve.cache`).
 * **Admission control** — a bounded in-flight request budget and
   queue-depth watermarks with hysteresis: past the high watermark the
   service sheds new arrivals with an explicit ``overloaded`` response
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.reader import QueryStats
+from ..core.reader import QueryStats, newest_first
 from ..obs import (
     ActiveSpan,
     MetricsRegistry,
@@ -137,19 +138,6 @@ class _Pending:
         self.traced: list[tuple[ActiveSpan, float]] = []
 
 
-class _FilterWork:
-    """Per-request probe state while a FilterKV batch executes."""
-
-    __slots__ = ("key", "stats", "ranks", "value", "found")
-
-    def __init__(self, key: int, stats: QueryStats, ranks: list[int]):
-        self.key = key
-        self.stats = stats
-        self.ranks = ranks
-        self.value: bytes | None = None
-        self.found = False
-
-
 @dataclass
 class _Shedder:
     """Queue-depth watermarks with hysteresis.
@@ -231,7 +219,6 @@ class QueryService:
         queue_low_watermark: int | None = None,
         default_deadline_s: float | None = None,
         table_cache_entries: int = 64,
-        parallel_probe: bool = False,
         pool=None,
         pool_min_keys: int = 64,
         metrics: MetricsRegistry | None = None,
@@ -248,7 +235,6 @@ class QueryService:
         self.max_inflight = max_inflight
         self.default_deadline_s = default_deadline_s
         self.table_cache_entries = table_cache_entries
-        self.parallel_probe = parallel_probe
         # Optional WorkerPool: dispatch windows big enough to beat the
         # shipping cost probe across processes instead of on this thread.
         self._pool = pool
@@ -353,7 +339,6 @@ class QueryService:
                 epoch,
                 metrics=self.metrics,
                 table_cache_entries=self.table_cache_entries,
-                parallel_probe=self.parallel_probe,
             )
             self._engines[epoch] = engine
         return engine
@@ -669,17 +654,13 @@ class QueryService:
                 task.add_done_callback(self._pool_tasks.discard)
                 continue
             try:
-                if isinstance(token, tuple):
-                    runner = lambda items=items: self._probe_any(items)  # noqa: E731
-                    epoch_attr = "any"
-                else:
-                    engine = self._engine(token)
-                    runner = lambda e=engine, t=token, i=items: self._probe_group(  # noqa: E731
-                        e, t, i
-                    )
-                    epoch_attr = token
+                # ANY_EPOCH walks every live epoch; a single-epoch window
+                # is the same walk over one epoch.
+                epochs = list(self.store.epochs) if isinstance(token, tuple) else [token]
+                runner = lambda e=epochs, i=items: self._probe(e, i)  # noqa: E731
                 roots = [root for p in items for root, _ in p.traced]
                 if roots:
+                    epoch_attr = "any" if isinstance(token, tuple) else token
                     self._probe_traced(runner, items, roots, epoch_attr)
                 else:
                     runner()
@@ -726,47 +707,19 @@ class QueryService:
                         ServeResponse(ERROR, pending.key, epoch, detail=repr(e)),
                     )
 
-    def _probe_group(self, engine, epoch: int, items: list[_Pending]) -> None:
-        """One live epoch's window: bulk-probe and finish every pending."""
+    def _probe(self, epochs: list[int], items: list[_Pending]) -> None:
+        """Answer a window over ``epochs`` (newest wins) and finish every
+        pending — `newest_first`, the loop `MultiEpochStore.lookup_many`
+        runs, with each epoch probed by `_bulk_values`."""
         keys = np.fromiter((p.key for p in items), dtype=np.uint64, count=len(items))
-        values = self._bulk_values(engine, epoch, keys)
-        for pending, value in zip(items, values):
-            status = OK if value is not None else NOT_FOUND
-            self._finish(pending, ServeResponse(status, pending.key, epoch, value=value))
-
-    def _probe_any(self, items: list[_Pending]) -> None:
-        """Cross-epoch window: walk live epochs newest-first, carrying only
-        still-unanswered keys forward — the serving-tier twin of
-        `MultiEpochStore.lookup_many`, sharing the per-epoch bulk probe
-        (and, for FilterKV, the negative cache) with single-epoch windows.
-        """
-        live = list(self.store.epochs)
-        n = len(items)
-        values: list[bytes | None] = [None] * n
-        where: list[int | None] = [None] * n
-        remaining = list(range(n))
-        for epoch in reversed(live):
-            if not remaining:
-                break
-            engine = self._engine(epoch)
-            keys = np.fromiter(
-                (items[i].key for i in remaining), dtype=np.uint64, count=len(remaining)
-            )
-            vals = self._bulk_values(engine, epoch, keys)
-            still: list[int] = []
-            for i, value in zip(remaining, vals):
-                if value is not None:
-                    values[i] = value
-                    where[i] = epoch
-                else:
-                    still.append(i)
-            remaining = still
-        newest = live[-1] if live else None
-        for i, pending in enumerate(items):
-            if values[i] is not None:
-                response = ServeResponse(OK, pending.key, where[i], value=values[i])
+        values, where, _ = newest_first(
+            epochs, lambda e, ks: self._bulk_values(self._engine(e), e, ks), keys
+        )
+        for pending, value, epoch in zip(items, values, where):
+            if value is not None:
+                response = ServeResponse(OK, pending.key, epoch, value=value)
             else:
-                response = ServeResponse(NOT_FOUND, pending.key, newest)
+                response = ServeResponse(NOT_FOUND, pending.key, epochs[-1])
             self._finish(pending, response)
 
     def _probe_traced(
@@ -824,76 +777,18 @@ class QueryService:
         if not pending.future.done():
             pending.future.set_result(response)
 
-    # -- probe strategies --------------------------------------------------
+    # -- the probe -------------------------------------------------------
 
-    def _bulk_values(self, engine, epoch: int, keys: np.ndarray) -> list[bytes | None]:
-        """One epoch's bulk probe for a window's keys; values align with
-        ``keys`` (None = not in this epoch).
-
-        base / dataptr ride the engine's block-coalesced ``get_many``.
-        filterkv resolves aux candidates minus refuted ranks in one
-        vectorized pass per owner partition; ranks then ascend, each
-        rank's survivors probed with one block-coalesced ``get_many``,
-        and a key stops probing at its first hit — so the answers are
-        identical to the sequential engine's candidate walk.  The
-        grouping only changes *when* each table is touched, and the
-        negative cache only removes probes that are known to miss.
-        Physical I/O shared by a group is charged to the group's first
-        request (aggregates stay exact).
-        """
-        if self.store.fmt.name != "filterkv":
-            values, _ = engine.get_many(keys)
-            return values
-
-        owners = engine.partitioner.partition_of(keys)
-        work = [_FilterWork(int(k), QueryStats(), []) for k in keys]
-        for owner, pos in engine._groups(owners):
-            aux = engine.aux_tables[owner]
-            if aux is None:
-                raise ValueError(f"no auxiliary table for partition {owner}")
-            engine._charge_aux(owner, work[int(pos[0])].stats)
-            counts, flat = aux.candidates_many(keys[pos])
-            engine._m_candidates.inc(int(counts.sum()))
-            splits = np.cumsum(counts)[:-1]
-            for p, cand in zip(pos.tolist(), np.split(flat, splits)):
-                w = work[p]
-                w.ranks = [
-                    int(r)
-                    for r in cand
-                    if not self._negcache.refuted(epoch, w.key, int(r))
-                ]
-
-        by_rank: dict[int, list[_FilterWork]] = {}
-        for w in work:
-            for rank in w.ranks:
-                by_rank.setdefault(rank, []).append(w)
-        for rank in sorted(by_rank):
-            group = [w for w in by_rank[rank] if not w.found]
-            if not group:
-                continue
-            lead = group[0].stats
-            reader = engine._open_table(rank, lead)
-            try:
-                with engine._charged(lead, "data"):
-                    vals, _ = reader.get_many(
-                        np.fromiter(
-                            (w.key for w in group), dtype=np.uint64, count=len(group)
-                        )
-                    )
-            finally:
-                engine._release_table(reader)
-            for w, hit in zip(group, vals):
-                w.stats.partitions_searched += 1
-                if hit is None:
-                    self._negcache.add(epoch, w.key, rank)
-                else:
-                    w.value = hit
-                    w.found = True
-
-        for w in work:
-            w.stats.found = w.found
-            engine._observe(w.stats)
-        return [w.value for w in work]
+    def _bulk_values(
+        self, engine: "CachedQueryEngine", epoch: int, keys: np.ndarray
+    ) -> tuple[list[bytes | None], list[QueryStats]]:
+        """One epoch's bulk probe for a window's keys: the engine's
+        block-coalesced `QueryEngine.get_many`, with the negative cache as
+        its FilterKV refute hook.  Values align with ``keys`` (None = not
+        in this epoch).  ``epoch`` is the engine's own; it stays in the
+        signature because `perfbench/layers.py` wraps this method and
+        reads its arguments."""
+        return engine.get_many(keys, negative_cache=self._negcache)
 
     # -- introspection -----------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.vpic import VPICSimulation
 from repro.core.formats import FMT_BASE, FMT_DATAPTR, FMT_FILTERKV
-from repro.core.kv import random_kv_batch
+from repro.core.kv import KVBatch, random_kv_batch
 from repro.core.multiepoch import MultiEpochStore
 from repro.storage.manifest import Manifest
 
@@ -93,3 +93,54 @@ def test_dataptr_value_logs_shared_across_epochs():
     assert v0 == b0[1].value_of(5)
     assert v1 == b1[1].value_of(5)
     assert qs0.breakdown_reads.get("vlog") == 1
+
+
+def _overwriting_store(fmt, epochs=5, nranks=4, per_rank=120, seed=21):
+    """Uncompacted store whose later epochs rewrite a slice of earlier
+    keys with fresh values, plus every key ever written."""
+    rng = np.random.default_rng(seed)
+    store = MultiEpochStore(nranks=nranks, fmt=fmt, value_bytes=24, seed=seed)
+    written = np.zeros(0, dtype=np.uint64)
+    for _ in range(epochs):
+        batches = [random_kv_batch(per_rank, 24, rng) for _ in range(nranks)]
+        if written.size:
+            rewrites = rng.choice(written, size=nranks * (per_rank // 4), replace=False)
+            batches = [
+                KVBatch(np.concatenate([old, b.keys[old.size :]]), b.values)
+                for b, old in zip(batches, np.split(rewrites, nranks))
+            ]
+        store.write_epoch(batches)
+        written = np.unique(np.concatenate([written, *(b.keys for b in batches)]))
+    return store, written
+
+
+def _scalar_newest_first(store, key):
+    """Per-record oracle: scalar `QueryEngine.get` per epoch, newest first."""
+    searched = 0
+    for epoch in reversed(store.epochs):
+        value, stats = store.engine(epoch).get(key)
+        searched += stats.partitions_searched
+        if value is not None:
+            return value, epoch, True, searched
+    return None, None, False, searched
+
+
+@pytest.mark.parametrize("fmt", [FMT_BASE, FMT_DATAPTR, FMT_FILTERKV], ids=lambda f: f.name)
+def test_lookup_and_lookup_many_match_scalar_newest_first_oracle(fmt):
+    store, written = _overwriting_store(fmt)
+    assert len(store.epochs) == 5 and not store.manifest.compacted
+    rng = np.random.default_rng(4)
+    absent = rng.integers(1 << 40, 1 << 41, size=20, dtype=np.uint64)
+    keys = np.concatenate([rng.choice(written, size=200, replace=False), absent])
+    rng.shuffle(keys)
+    want = [_scalar_newest_first(store, int(k)) for k in keys]
+    # Overwrites make newest-wins observable: answers come from every epoch.
+    assert {w[1] for w in want} == {None, *store.epochs}
+
+    values, found_in, stats = store.lookup_many(keys)
+    got = [(v, e, st.found, st.partitions_searched) for v, e, st in zip(values, found_in, stats)]
+    assert got == want
+    for k, w in zip(keys[:60], want):
+        value, epoch, st = store.lookup(int(k), cached=False)
+        assert (value, epoch, st.found, st.partitions_searched) == w
+    store.close()

@@ -104,6 +104,62 @@ def test_stale_view_detected_refreshed_and_still_correct():
     run(go())
 
 
+class _AuxExportDown:
+    """Shard client whose `aux_state` raises while ``down`` is set; every
+    other verb passes through to the real client."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.down = True
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    async def aux_state(self):
+        if self.down:
+            raise ConnectionError("aux export unavailable")
+        return await self.inner.aux_state()
+
+
+def test_aux_refresh_failures_are_counted_and_answers_stay_correct():
+    fleet, dumps, truth = build_fleet(seed=19, epochs=1)
+
+    async def go():
+        async with fleet:
+            router = fleet.router
+            sid = min(router.clients)
+            flaky = _AuxExportDown(router.clients[sid])
+            router.clients[sid] = flaky
+
+            def failures():
+                return router.metrics.total(
+                    "fleet.router.aux_refresh_failures", shard=str(sid)
+                )
+
+            # Start-up pull: the shard falls back to ring-order planning.
+            router.views.clear()
+            await router.start()
+            assert sid not in router.views and failures() == 1
+            flaky.down = False
+            await router.refresh(sid)
+
+            # Background re-pull after a commit behind the router's back.
+            flaky.down = True
+            extra = random_kv_batch(120, VB, np.random.default_rng(78))
+            fleet.ingest(extra)
+            for i, k in enumerate(extra.keys):
+                r = await router.get(int(k), epoch=ANY_EPOCH)
+                assert r.status == OK and r.value == extra.value_of(i)
+            await asyncio.sleep(0.05)  # let the scheduled refreshes run
+            assert failures() == 2
+            assert router.views[sid].stale  # the stale mark stands
+            assert router.stats()["aux_refresh_failures"] == 2
+            others = [v for s, v in router.views.items() if s != sid]
+            assert others and not any(v.stale for v in others)
+
+    run(go())
+
+
 def test_plan_prefers_claimants_and_never_leaves_the_owner_set():
     fleet, dumps, truth = build_fleet(seed=29, epochs=1)
 

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.formats import FMT_FILTERKV
+from repro.core.kv import KVBatch, random_kv_batch
+from repro.core.multiepoch import MultiEpochStore
 from repro.serve import (
+    ANY_EPOCH,
     DEADLINE_EXCEEDED,
     ERROR,
     NOT_FOUND,
@@ -238,6 +241,45 @@ def test_negative_cache_cuts_false_candidate_probes():
             assert probed_round2 < probed_round1
 
     run(main())
+
+
+def test_any_epoch_window_matches_store_lookup_many():
+    """A served ANY_EPOCH window and `MultiEpochStore.lookup_many` are one
+    newest-first walk: same values, same found epochs, and — with a cold
+    negative cache — the same partition probes."""
+    rng = np.random.default_rng(12)
+    store = MultiEpochStore(nranks=16, fmt=FMT_FILTERKV, value_bytes=24, seed=12)
+    written = np.zeros(0, dtype=np.uint64)
+    for _ in range(4):
+        batches = [random_kv_batch(40, 24, rng) for _ in range(16)]
+        if written.size:  # later epochs rewrite some earlier keys
+            old = rng.choice(written, size=16 * 8, replace=False)
+            batches = [
+                KVBatch(np.concatenate([o, b.keys[o.size :]]), b.values)
+                for b, o in zip(batches, np.split(old, 16))
+            ]
+        store.write_epoch(batches)
+        written = np.unique(np.concatenate([written, *(b.keys for b in batches)]))
+    keys = [int(k) for k in rng.choice(written, size=56, replace=False)]
+    keys += [int(k) for k in rng.integers(1 << 40, 1 << 41, size=8, dtype=np.uint64)]
+    values, found_in, stats = store.lookup_many(keys)
+
+    async def main():
+        async with QueryService(store, result_cache_entries=1) as svc:
+            m = svc.metrics
+            responses = await asyncio.gather(*(svc.get(k, epoch=ANY_EPOCH) for k in keys))
+            assert m.total("serve.batches") == 1  # one concurrent window
+            return responses, m.total("reader.partitions_probed")
+
+    responses, probed = run(main())
+    assert [r.value for r in responses] == values
+    assert [r.epoch for r in responses if r.status == OK] == [
+        e for e in found_in if e is not None
+    ]
+    assert [r.status == OK for r in responses] == [e is not None for e in found_in]
+    assert len(set(found_in)) > 2  # answers come from several epochs
+    assert probed == sum(st.partitions_searched for st in stats)
+    store.close()
 
 
 def test_stats_snapshot_is_consistent(fmt):
